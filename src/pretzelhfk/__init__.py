@@ -6,31 +6,29 @@ for the pretzel families K(-2a, 2b+1, 2c+1) and K(2a, -(2b+1), 2c+1)
 result against an independent Fox-calculus Alexander polynomial oracle.
 """
 
-from .alexander import (alexander_matrix, bareiss_determinant,
-                        euler_characteristic, fox_alexander, torus_alexander)
+from .alexander import (bareiss_determinant, euler_characteristic,
+                        fox_alexander, torus_alexander)
 from .hfk import (BigradedTable, HfkResult, MatrixHomology, PairingEntry,
                   all_pairings, homology_via_matrix, mirror_transform,
                   pairing_differential, readouts, reduce_two_lines,
                   smith_diagonal, symmetry_check, theorem1_closed_form,
                   theorem2_closed_form)
 from .kauffman import (Bigrading, ChainSummary, KauffmanState, chain_summary,
-                       delta, enumerate_states, grading, parity)
+                       enumerate_states, grading)
 from .laurent import LaurentError, LaurentPoly
-from .pretzel import (DiagramInfo, FamilyTag, PretzelClass, PretzelParams,
+from .pretzel import (FamilyTag, PretzelClass, PretzelParams,
                       WirtingerPresentation, canonical_triple, classify,
-                      diagram_info, wirtinger)
+                      wirtinger)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bigrading", "BigradedTable", "ChainSummary", "DiagramInfo", "FamilyTag",
-    "HfkResult", "KauffmanState", "LaurentError", "LaurentPoly",
-    "MatrixHomology", "PairingEntry", "PretzelClass", "PretzelParams",
-    "WirtingerPresentation", "alexander_matrix", "all_pairings",
-    "bareiss_determinant", "canonical_triple", "chain_summary", "classify",
-    "delta", "diagram_info", "enumerate_states", "euler_characteristic",
-    "fox_alexander", "grading", "homology_via_matrix", "mirror_transform",
-    "pairing_differential", "parity", "readouts", "reduce_two_lines",
-    "smith_diagonal", "symmetry_check", "theorem1_closed_form",
-    "theorem2_closed_form", "torus_alexander", "wirtinger",
+    "Bigrading", "BigradedTable", "ChainSummary", "FamilyTag", "HfkResult",
+    "KauffmanState", "LaurentError", "LaurentPoly", "MatrixHomology",
+    "PairingEntry", "PretzelClass", "PretzelParams", "WirtingerPresentation",
+    "all_pairings", "bareiss_determinant", "canonical_triple", "chain_summary",
+    "classify", "enumerate_states", "euler_characteristic", "fox_alexander",
+    "grading", "homology_via_matrix", "mirror_transform", "pairing_differential",
+    "readouts", "reduce_two_lines", "smith_diagonal", "symmetry_check",
+    "theorem1_closed_form", "theorem2_closed_form", "torus_alexander", "wirtinger",
 ]

@@ -54,12 +54,6 @@ def fox_derivative(word: tuple[int, ...], gen: int) -> LaurentPoly:
     return LaurentPoly(acc)
 
 
-def alexander_matrix(pres: WirtingerPresentation) -> list[list[LaurentPoly]]:
-    """Fox derivative matrix, one row per relator, one column per generator."""
-    return [[fox_derivative(word, g) for g in range(1, pres.generator_count + 1)]
-            for word in pres.relators]
-
-
 def bareiss_determinant(rows: list[list[LaurentPoly]]) -> LaurentPoly:
     """Determinant of a square Laurent-polynomial matrix, fraction-free.
 

@@ -5,6 +5,13 @@ Alexander polynomials, optionally runs the full cross-check suite, and
 emits JSON, CSV, or a human-readable grid.  Output is byte-identical
 across repeated runs with equal inputs.
 
+``run_single`` is the per-knot pipeline.  Its stages run in a fixed
+order: classify; the polynomial routes (Wirtinger presentation and Fox
+calculus, then the Kauffman state summaries and their state sum); the
+table routes (two-line reduction or closed form, mirror, pair lists);
+the checks; the readouts.  Each stage runs at most once per knot, and
+the checks take its values instead of recomputing them.
+
 Exit codes: 0 computed (and verified), 1 usage error, 2 out-of-scope
 input, 3 a mandatory verification check failed.
 """
@@ -60,99 +67,89 @@ class RunReport:
 # computation drivers
 
 
-def _thm1_report(triple, cls: PretzelClass, variant: str, oracle: str,
-                 do_verify: bool) -> RunReport:
-    base = cls.canonical()
-    a, b, c = base.abc()
-    primary_variant = "a" if variant == "a" else "b"
-    summary = kauffman.chain_summary(base, primary_variant)
-    table0 = hfk.reduce_two_lines(summary)
-    checks: list[CheckResult] = []
-
-    need_fox = oracle in ("fox", "both") or do_verify
-    pres = wirtinger(verify.canonical_params(base)) if need_fox else None
-    alex_fox = alexander.fox_alexander(pres) if pres is not None else None
-    alex_sum = (alexander.euler_characteristic(summary)
-                if oracle in ("statesum", "both") or do_verify else None)
-    alex = alex_sum if alex_sum is not None else alex_fox
-    assert alex is not None
-
-    if alex_fox is not None and alex_sum is not None:
-        checks.append(verify.check_oracle_agreement(alex_fox, alex_sum))
-    checks.append(verify.check_closed_form_equivalence(base, summary, alex))
-    checks.append(verify.check_euler_consistency(table0, alex))
-    if variant == "both" or do_verify:
-        checks.append(verify.check_variant_independence(base))
-    if do_verify:
-        assert pres is not None and alex_fox is not None
-        checks.append(verify.check_wirtinger_structure(pres))
-        checks.append(verify.check_fox_column_independence(pres, alex_fox))
-        other = kauffman.chain_summary(base, "a" if primary_variant == "b" else "b")
-        for smry in (summary, other):
-            checks.append(verify.check_pairing_gradings(base, smry.variant))
-            checks.append(verify.check_matrix_agreement(
-                smry, hfk.reduce_two_lines(smry)))
-        checks.append(verify.check_top_group(table0, base))
-        checks.append(verify.check_symmetry(table0))
-        checks.append(verify.check_parity(table0, alex))
-        checks.append(verify.check_literal_parts(base, table0))
-
-    table = hfk.mirror_transform(table0) if cls.mirrored else table0
-    checks.append(verify.check_two_line_support(table, cls))
-    res = hfk.readouts(table, alex)
-    return RunReport(knot=canonical_triple(cls, triple), cls=cls,
-                     alexander=alex, table=table, genus=res.genus,
-                     fibered=res.fibered, checks=checks)
-
-
-def _thm2_report(triple, cls: PretzelClass, oracle: str,
-                 do_verify: bool) -> RunReport:
-    base = cls.canonical()
-    a, b, c = base.abc()
-    checks: list[CheckResult] = []
-    if oracle == "statesum":
-        checks.append(CheckResult(
-            "oracle-selection", True,
-            "state-sum route has no state tables for this family; used fox",
-            informational=True))
-    pres = wirtinger(verify.canonical_params(base))
-    alex = alexander.fox_alexander(pres)
-    table0 = hfk.theorem2_closed_form(a, b, c, alex)
-    checks.append(verify.check_euler_consistency(table0, alex))
-    if do_verify:
-        checks.append(verify.check_wirtinger_structure(pres))
-        checks.append(verify.check_fox_column_independence(pres, alex))
-        checks.append(verify.check_symmetry(table0))
-        checks.append(verify.check_parity(table0, alex))
-    table = hfk.mirror_transform(table0) if cls.mirrored else table0
-    checks.append(verify.check_two_line_support(table, cls))
-    res = hfk.readouts(table, alex)
-    return RunReport(knot=canonical_triple(cls, triple), cls=cls,
-                     alexander=alex, table=table, genus=res.genus,
-                     fibered=res.fibered, checks=checks)
+def _out_of_scope(knot: tuple[int, int, int], cls: PretzelClass,
+                  alex: LaurentPoly | None) -> RunReport:
+    return RunReport(knot=knot, cls=cls, alexander=alex, table=None, genus=None,
+                     fibered=None,
+                     checks=[CheckResult("scope", True, cls.reason or "",
+                                         informational=True)],
+                     status="out-of-scope")
 
 
 def run_single(triple: tuple[int, int, int], variant: str = "b",
                oracle: str = "both", do_verify: bool = False) -> RunReport:
-    """Classify one triple and compute whatever its family supports."""
+    """Classify one triple and compute whatever its family supports.
+
+    Every stage runs at most once and the checks reuse its values.
+    """
     cls = classify(*triple)
     knot = canonical_triple(cls, triple)
     if cls.tag is FamilyTag.NOT_A_KNOT:
-        return RunReport(knot=knot, cls=cls, alexander=None, table=None,
-                         genus=None, fibered=None,
-                         checks=[CheckResult("scope", True, cls.reason or "",
-                                             informational=True)],
-                         status="out-of-scope")
+        return _out_of_scope(knot, cls, None)
     if cls.tag is FamilyTag.PRIOR_WORK:
-        alex = alexander.fox_alexander(wirtinger(triple))
-        return RunReport(knot=knot, cls=cls, alexander=alex, table=None,
-                         genus=None, fibered=None,
-                         checks=[CheckResult("scope", True, cls.reason or "",
-                                             informational=True)],
-                         status="out-of-scope")
-    if cls.tag in (FamilyTag.THM1, FamilyTag.MIRROR_THM1):
-        return _thm1_report(triple, cls, variant, oracle, do_verify)
-    return _thm2_report(triple, cls, oracle, do_verify)
+        return _out_of_scope(knot, cls, alexander.fox_alexander(wirtinger(triple)))
+    base = cls.canonical()
+    a, b, c = base.abc()
+    thm1 = base.tag is FamilyTag.THM1
+
+    # polynomial routes: Fox calculus, then the state sum (Thm1 only)
+    pres = alex_fox = alex_sum = None
+    if not thm1 or oracle in ("fox", "both") or do_verify:
+        pres = wirtinger(canonical_triple(base, triple))
+        alex_fox = alexander.fox_alexander(pres)
+    # the primary variant first; the other one only when the two are compared
+    primary = "a" if variant == "a" else "b"
+    summaries: dict[str, kauffman.ChainSummary] = {}
+    if thm1:
+        variants = [primary]
+        if variant == "both" or do_verify:
+            variants.append("b" if primary == "a" else "a")
+        summaries = {v: kauffman.chain_summary(base, v) for v in variants}
+        if oracle in ("statesum", "both") or do_verify:
+            alex_sum = alexander.euler_characteristic(summaries[primary])
+    alex = alex_sum if alex_sum is not None else alex_fox
+    assert alex is not None
+
+    # table routes: state-count reduction (Thm1) or closed form (Thm2)
+    tables = {v: hfk.reduce_two_lines(smry) for v, smry in summaries.items()}
+    table0 = tables[primary] if thm1 else hfk.theorem2_closed_form(a, b, c, alex)
+    pairs = ({v: hfk.all_pairings(base, v) for v in summaries}
+             if thm1 and do_verify else {})
+    table = hfk.mirror_transform(table0) if cls.mirrored else table0
+
+    checks: list[CheckResult] = []
+    if alex_fox is not None and alex_sum is not None:
+        checks.append(verify.check_oracle_agreement(alex_fox, alex_sum))
+    if not thm1 and oracle == "statesum":
+        checks.append(CheckResult(
+            "oracle-selection", True,
+            "state-sum route has no state tables for this family; used fox",
+            informational=True))
+    if thm1:
+        checks.append(verify.check_closed_form_equivalence(base, table0, alex))
+    checks.append(verify.check_euler_consistency(table0, alex))
+    if len(summaries) == 2:
+        checks.append(verify.check_variant_independence(
+            summaries["a"], summaries["b"], tables["a"], tables["b"]))
+    if do_verify:
+        assert pres is not None and alex_fox is not None
+        checks.append(verify.check_wirtinger_structure(pres))
+        checks.append(verify.check_fox_column_independence(pres, alex_fox))
+        for v in pairs:
+            checks.append(verify.check_pairing_gradings(pairs[v], v))
+            checks.append(verify.check_matrix_agreement(summaries[v], tables[v],
+                                                        pairs[v]))
+        if thm1:
+            checks.append(verify.check_top_group(table0, base))
+        checks.append(verify.check_symmetry(table0))
+        checks.append(verify.check_parity(table0, alex))
+        if thm1:
+            checks.append(verify.check_literal_parts(base, table0))
+    checks.append(verify.check_two_line_support(table, cls))
+
+    res = hfk.readouts(table, alex)
+    return RunReport(knot=knot, cls=cls, alexander=alex, table=table,
+                     genus=res.genus, fibered=res.fibered, checks=checks)
 
 
 def run_sweep(ranges: dict[str, tuple[int, int]], family: str, variant: str,
@@ -382,8 +379,13 @@ def main(argv: list[str] | None = None) -> int:
         text = render_pretty(reports, sweep)
 
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return EXIT_USAGE
     else:
         sys.stdout.write(text)
 

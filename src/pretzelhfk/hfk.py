@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kauffman import (ChainSummary, KauffmanState, enumerate_states, grading,
-                       parity)
+from .kauffman import ChainSummary, KauffmanState, enumerate_states, grading
 from .laurent import LaurentError, LaurentPoly
 from .pretzel import FamilyTag, PretzelClass
 
@@ -217,9 +216,9 @@ class PairingEntry:
     r: int
 
 
-def _pair(cls: PretzelClass, kind: str, source: KauffmanState,
+def _pair(cls: PretzelClass, variant: str, kind: str, source: KauffmanState,
           target: KauffmanState, l: int, r: int) -> PairingEntry:
-    gs, gt = grading(source, cls), grading(target, cls)
+    gs, gt = grading(source, cls, variant), grading(target, cls, variant)
     if gs.s != gt.s or gs.m != gt.m + 1:
         raise ValueError(
             f"pair {kind} ({source}, {target}) is not grading-compatible: "
@@ -252,37 +251,37 @@ def pairing_differential(cls: PretzelClass, variant: str, s: int) -> list[Pairin
     if s > b - c:
         p = b + c - s
         for l in range(1, min(p, l_cap, 2 * b) + 1):
-            if p - l > 2 * c or p + parity(l) > 2 * c:
+            if p - l > 2 * c or p + l % 2 > 2 * c:
                 continue
             pairs.append(_pair(
-                cls, "DlrDisk",
-                KauffmanState("A", 2 * b - l, p - l, variant),
-                KauffmanState("B", 2 * a - 1 - l, p + parity(l), variant),
-                l=l, r=2 * c - p - parity(l)))
+                cls, variant, "DlrDisk",
+                KauffmanState("A", 2 * b - l, p - l),
+                KauffmanState("B", 2 * a - 1 - l, p + l % 2),
+                l=l, r=2 * c - p - l % 2))
     if s < b - c:
         q = s + b + c
         for l in range(1, min(q, l_cap, 2 * c) + 1):
-            if q - l > 2 * b or q + 1 - parity(l) > 2 * b:
+            if q - l > 2 * b or q + 1 - l % 2 > 2 * b:
                 continue
             pairs.append(_pair(
-                cls, "DlrDisk",
-                KauffmanState("A", q - l, 2 * c - l, variant),
-                KauffmanState("C", 2 * a - 1 - l, q + 1 - parity(l), variant),
-                l=l, r=2 * b - q - parity(l)))
+                cls, variant, "DlrDisk",
+                KauffmanState("A", q - l, 2 * c - l),
+                KauffmanState("C", 2 * a - 1 - l, q + 1 - l % 2),
+                l=l, r=2 * b - q - l % 2))
     if variant == "a":
         k = c - b - s
         if 0 <= k <= 2 * c:
             pairs.append(_pair(
-                cls, "SpecialB0k",
-                KauffmanState("A", 0, k, variant),
-                KauffmanState("B", 0, k, variant),
+                cls, variant, "SpecialB0k",
+                KauffmanState("A", 0, k),
+                KauffmanState("B", 0, k),
                 l=0, r=k))
         p = b + c - s
         if 0 <= p <= 2 * b - 1:
             pairs.append(_pair(
-                cls, "EightGon",
-                KauffmanState("A", 2 * b - p, 0, variant),
-                KauffmanState("C", 0, 2 * b - p - 1, variant),
+                cls, variant, "EightGon",
+                KauffmanState("A", 2 * b - p, 0),
+                KauffmanState("C", 0, 2 * b - p - 1),
                 l=p, r=a + b - p))
     return pairs
 
@@ -386,14 +385,12 @@ def homology_via_matrix(summary: ChainSummary,
     cls = PretzelClass(FamilyTag.THM1, a, b, c)
     by_spin: dict[int, list[PairingEntry]] = {}
     for pair in pairs:
-        if pair.source.variant != summary.variant:
-            raise ValueError("pair variant does not match the summary variant")
-        by_spin.setdefault(grading(pair.source, cls).s, []).append(pair)
+        by_spin.setdefault(grading(pair.source, cls, summary.variant).s, []).append(pair)
 
     sources: dict[int, list[KauffmanState]] = {}
     targets: dict[int, list[KauffmanState]] = {}
-    for state in enumerate_states(cls, summary.variant):
-        s = grading(state, cls).s
+    for state in enumerate_states(cls):
+        s = grading(state, cls, summary.variant).s
         (sources if state.family == "A" else targets).setdefault(s, []).append(state)
 
     entries: dict[tuple[int, int], int] = {}

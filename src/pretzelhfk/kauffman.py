@@ -25,17 +25,11 @@ from .pretzel import FamilyTag, PretzelClass
 VARIANTS = ("a", "b")
 
 
-def parity(i: int) -> int:
-    """i mod 2 (i.e. i - 2*floor(i/2))."""
-    return i % 2
-
-
 @dataclass(frozen=True, order=True)
 class KauffmanState:
     family: str
     idx1: int
     idx2: int
-    variant: str
 
 
 @dataclass(frozen=True)
@@ -56,23 +50,22 @@ def _check_variant(variant: str) -> None:
         raise ValueError(f"variant must be 'a' or 'b', got {variant!r}")
 
 
-def enumerate_states(cls: PretzelClass, variant: str = "b") -> list[KauffmanState]:
+def enumerate_states(cls: PretzelClass) -> list[KauffmanState]:
     """All Kauffman states in lexicographic (family, idx1, idx2) order."""
     a, b, c = _require_thm1(cls)
-    _check_variant(variant)
-    states = [KauffmanState("A", j, k, variant)
+    states = [KauffmanState("A", j, k)
               for j in range(2 * b + 1) for k in range(2 * c + 1)]
-    states += [KauffmanState("B", i, k, variant)
+    states += [KauffmanState("B", i, k)
                for i in range(2 * a) for k in range(2 * c + 1)]
-    states += [KauffmanState("C", i, j, variant)
+    states += [KauffmanState("C", i, j)
                for i in range(2 * a) for j in range(2 * b + 1)]
     return states
 
 
-def grading(state: KauffmanState, cls: PretzelClass) -> Bigrading:
+def grading(state: KauffmanState, cls: PretzelClass, variant: str) -> Bigrading:
     """Maslov and spin grading of one state, per the variant's table."""
     a, b, c = _require_thm1(cls)
-    _check_variant(state.variant)
+    _check_variant(variant)
     fam, x, y = state.family, state.idx1, state.idx2
     if fam == "A":
         j, k = x, y
@@ -83,24 +76,17 @@ def grading(state: KauffmanState, cls: PretzelClass) -> Bigrading:
         i, k = x, y
         if not (0 <= i <= 2 * a - 1 and 0 <= k <= 2 * c):
             raise ValueError(f"B state index out of range: {state}")
-        if state.variant == "a" and i == 0:
+        if variant == "a" and i == 0:
             return Bigrading(m=-k - 2 * b - 1, s=-k + (c - b))
-        return Bigrading(m=-parity(i) - k, s=b + c + 1 - parity(i) - k)
+        return Bigrading(m=-(i % 2) - k, s=b + c + 1 - i % 2 - k)
     if fam == "C":
         i, j = x, y
         if not (0 <= i <= 2 * a - 1 and 0 <= j <= 2 * b):
             raise ValueError(f"C state index out of range: {state}")
-        if state.variant == "a" and i == 0:
+        if variant == "a" and i == 0:
             return Bigrading(m=j - 2 * b, s=j - b + c + 1)
-        return Bigrading(m=j - parity(i) - 2 * b - 2 * c - 1, s=j - parity(i) - b - c)
+        return Bigrading(m=j - i % 2 - 2 * b - 2 * c - 1, s=j - i % 2 - b - c)
     raise ValueError(f"unknown family {fam!r}")
-
-
-def delta(state: KauffmanState, cls: PretzelClass) -> int:
-    """Delta grading s - m - (b + c); 0 on A states, 1 on B and C states."""
-    _, b, c = _require_thm1(cls)
-    g = grading(state, cls)
-    return g.s - g.m - (b + c)
 
 
 @dataclass(frozen=True)
@@ -144,8 +130,8 @@ def chain_summary(cls: PretzelClass, variant: str = "b") -> ChainSummary:
     a, b, c = _require_thm1(cls)
     counts: dict[tuple[int, int], int] = {}
     per_family: dict[tuple[str, int], int] = {}
-    for state in enumerate_states(cls, variant):
-        g = grading(state, cls)
+    for state in enumerate_states(cls):
+        g = grading(state, cls, variant)
         counts[(g.m, g.s)] = counts.get((g.m, g.s), 0) + 1
         key = (state.family, g.s)
         per_family[key] = per_family.get(key, 0) + 1

@@ -150,26 +150,6 @@ def classify(p1: int, p2: int, p3: int) -> PretzelClass:
                                "(all-odd, reducible, or alternating pattern)")
 
 
-@dataclass(frozen=True)
-class DiagramInfo:
-    """Size data of the standard projection of a (-2a, 2b+1, 2c+1) knot."""
-
-    heegaard_genus: int
-    crossing_count: int
-    band_crossings: tuple[int, int, int]
-
-
-def diagram_info(cls: PretzelClass) -> DiagramInfo:
-    """Genus of the thickened projection surface and per-band crossing counts."""
-    if cls.tag not in (FamilyTag.THM1, FamilyTag.MIRROR_THM1):
-        raise ValueError(f"diagram data only available for the Thm1 family, got {cls.tag.value}")
-    a, b, c = cls.abc()
-    bands = (2 * a, 2 * b + 1, 2 * c + 1)
-    return DiagramInfo(heegaard_genus=2 * (a + b + c) + 3,
-                       crossing_count=sum(bands),
-                       band_crossings=bands)
-
-
 # ---------------------------------------------------------------------------
 # Wirtinger presentation of the knot group
 

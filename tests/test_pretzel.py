@@ -4,8 +4,7 @@ import pytest
 
 from pretzelhfk.hfk import smith_diagonal
 from pretzelhfk.pretzel import (FamilyTag, PretzelClass, PretzelParams,
-                                canonical_triple, classify, diagram_info,
-                                wirtinger)
+                                canonical_triple, classify, wirtinger)
 
 
 def test_classify_direct_families():
@@ -76,16 +75,6 @@ def test_params_validation():
     with pytest.raises(ValueError):
         PretzelParams(2, 4, 3)
     assert PretzelParams(-2, 3, 3).crossing_count == 8
-
-
-def test_diagram_info():
-    assert diagram_info(classify(-2, 3, 3)).heegaard_genus == 9
-    assert diagram_info(classify(-2, 3, 3)).band_crossings == (2, 3, 3)
-    assert diagram_info(classify(-4, 5, 5)).heegaard_genus == 15
-    assert diagram_info(classify(-2, 5, 7)).crossing_count == 14
-    assert diagram_info(classify(2, -3, -3)).heegaard_genus == 9  # mirror allowed
-    with pytest.raises(ValueError):
-        diagram_info(classify(2, -3, 3))
 
 
 def test_wirtinger_counts():
