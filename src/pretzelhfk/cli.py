@@ -175,20 +175,20 @@ def run_sweep(ranges: dict[str, tuple[int, int]], family: str, variant: str,
 
 
 def _parse_triple(text: str) -> tuple[int, int, int]:
-    parts = text.split(",")
+    parts = [p.strip() for p in text.split(",")]
     if len(parts) != 3:
         raise UsageError(f"--pretzel expects three comma-separated integers, got {text!r}")
-    try:
-        p1, p2, p3 = (int(p.strip()) for p in parts)
-    except ValueError as exc:
-        raise UsageError(f"--pretzel expects integers: {exc}") from exc
+    # ASCII decimals only: int() alone would also take "1_0" and non-ASCII digits
+    if not all(re.fullmatch(r"[+-]?[0-9]+", p) for p in parts):
+        raise UsageError(f"--pretzel expects integers, got {text!r}")
+    p1, p2, p3 = map(int, parts)
     return (p1, p2, p3)
 
 
 def _parse_sweep(text: str) -> dict[str, tuple[int, int]]:
     ranges: dict[str, tuple[int, int]] = {}
     for piece in text.split(","):
-        m = re.fullmatch(r"([abc])=(\d+)\.\.(\d+)", piece.strip())
+        m = re.fullmatch(r"([abc])=([0-9]+)\.\.([0-9]+)", piece.strip())
         if not m:
             raise UsageError(f"bad sweep component {piece!r}; expected e.g. a=1..3")
         key, lo, hi = m.group(1), int(m.group(2)), int(m.group(3))

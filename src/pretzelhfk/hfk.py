@@ -9,19 +9,24 @@ counts, placed on one of two adjacent lines ("two-line support"):
 * theorem1_closed_form / theorem2_closed_form build the same table from
   the symmetrized Alexander polynomial alone;
 * pairing_differential lists the explicit cancelling disk pairs, and
-  homology_via_matrix reruns the reduction as honest integer linear
-  algebra over those pairs (Smith normal form), flagging per spin grading
-  whether the listed pairs already span the full cancellation.
+  homology_via_matrix reruns the reduction over the 0/1 matrix of those
+  pairs in each spin grading (rows A states, columns B and C states),
+  flagging per spin grading whether the listed pairs already span the
+  full cancellation.
 
-Tables store free ranks only; the matrix route asserts via Smith normal
-form that the pair matrices never create torsion.
+No target state is listed in two pairs, so every column of a pair matrix
+is zero or a unit vector.  Such a matrix has no torsion, and its rank is
+the number of distinct sources; homology_via_matrix counts them and
+raises if a target repeats.  smith_diagonal (general Smith normal form)
+serves the Wirtinger structure check and is the tests' reference for
+that rank.  Tables store free ranks only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kauffman import ChainSummary, KauffmanState, enumerate_states, grading
+from .kauffman import ChainSummary, KauffmanState, grading
 from .laurent import LaurentError, LaurentPoly
 from .pretzel import FamilyTag, PretzelClass
 
@@ -380,40 +385,38 @@ class MatrixHomology:
 
 def homology_via_matrix(summary: ChainSummary,
                         pairs: list[PairingEntry]) -> MatrixHomology:
-    """Homology of the pair-listed differential, one integer matrix per spin grading."""
+    """Homology of the pair-listed differential, one 0/1 matrix per spin grading.
+
+    At spin s the matrix maps the n_A(s) A states to the n_BC(s) B and C
+    states, with a 1 for each listed pair.  Each target lies in at most
+    one pair, so each column is zero or the unit vector of its source:
+    the matrix is torsion-free and its rank is the number of distinct
+    sources at s.  Kernel and cokernel ranks are n_A(s) and n_BC(s) minus
+    that rank, both read from ``summary``.  Raises ArithmeticError if a
+    target appears in two pairs, where counting would no longer give the
+    rank.
+    """
     a, b, c = summary.params
     cls = PretzelClass(FamilyTag.THM1, a, b, c)
-    by_spin: dict[int, list[PairingEntry]] = {}
+    sources: dict[int, set[KauffmanState]] = {}
+    targets: set[KauffmanState] = set()
     for pair in pairs:
-        by_spin.setdefault(grading(pair.source, cls, summary.variant).s, []).append(pair)
-
-    sources: dict[int, list[KauffmanState]] = {}
-    targets: dict[int, list[KauffmanState]] = {}
-    for state in enumerate_states(cls):
-        s = grading(state, cls, summary.variant).s
-        (sources if state.family == "A" else targets).setdefault(s, []).append(state)
+        if pair.target in targets:
+            raise ArithmeticError(f"target {pair.target} appears in two pairs")
+        targets.add(pair.target)
+        s = grading(pair.source, cls, summary.variant).s
+        sources.setdefault(s, set()).add(pair.source)
 
     entries: dict[tuple[int, int], int] = {}
     complete: dict[int, bool] = {}
     for s in summary.spins():
-        rows = sources.get(s, [])
-        cols = targets.get(s, [])
-        row_of = {st: i for i, st in enumerate(rows)}
-        col_of = {st: j for j, st in enumerate(cols)}
-        matrix = [[0] * len(cols) for _ in rows]
-        for pair in by_spin.get(s, []):
-            matrix[row_of[pair.source]][col_of[pair.target]] = 1
-        diag = smith_diagonal(matrix) if rows and cols else []
-        if any(d not in (0, 1) for d in diag):
-            raise ArithmeticError(f"unexpected torsion in the pair matrix at s={s}")
-        rank = sum(1 for d in diag if d)
-        ker = len(rows) - rank
-        coker = len(cols) - rank
-        if ker:
-            entries[(s - (b + c), s)] = ker
-        if coker:
-            entries[(s - (b + c) - 1, s)] = coker
-        complete[s] = rank == min(len(rows), len(cols))
+        n_a, n_bc = summary.a_count(s), summary.bc_count(s)
+        rank = len(sources.get(s, ()))
+        if n_a - rank:
+            entries[(s - (b + c), s)] = n_a - rank
+        if n_bc - rank:
+            entries[(s - (b + c) - 1, s)] = n_bc - rank
+        complete[s] = rank == min(n_a, n_bc)
     return MatrixHomology(table=BigradedTable(entries), complete_by_spin=complete)
 
 

@@ -7,8 +7,6 @@ this module is exact; no floating point enters any code path.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 
 class LaurentError(ValueError):
     """An exact operation failed (inexact division, impossible normalization)."""
@@ -19,20 +17,16 @@ class LaurentPoly:
 
     Instances behave as immutable values: arithmetic returns new objects
     and zero coefficients are never stored.
+
+    The constructor takes a dict from int exponents to int coefficients
+    (or None for zero).  Its zero entries are dropped; keys and values are
+    used as given, without coercion.
     """
 
     __slots__ = ("_c",)
 
-    def __init__(self, coeffs: dict[int, int] | Iterable[tuple[int, int]] | None = None):
-        acc: dict[int, int] = {}
-        if coeffs is not None:
-            items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-            for e, c in items:
-                e = int(e)
-                c = int(c)
-                if c:
-                    acc[e] = acc.get(e, 0) + c
-        self._c = {e: c for e, c in acc.items() if c}
+    def __init__(self, coeffs: dict[int, int] | None = None):
+        self._c = {e: c for e, c in coeffs.items() if c} if coeffs else {}
 
     # ------------------------------------------------------------------
     # constructors
@@ -45,24 +39,12 @@ class LaurentPoly:
     def one(cls) -> "LaurentPoly":
         return cls({0: 1})
 
-    @classmethod
-    def term(cls, coeff: int, exp: int = 0) -> "LaurentPoly":
-        return cls({exp: coeff})
-
     # ------------------------------------------------------------------
     # inspection
-
-    @property
-    def coefficients(self) -> dict[int, int]:
-        """Copy of the exponent -> coefficient map (no zero entries)."""
-        return dict(self._c)
 
     def terms(self) -> list[tuple[int, int]]:
         """(exponent, coefficient) pairs in ascending exponent order."""
         return sorted(self._c.items())
-
-    def coefficient(self, exp: int) -> int:
-        return self._c.get(exp, 0)
 
     def is_zero(self) -> bool:
         return not self._c
@@ -131,10 +113,6 @@ class LaurentPoly:
         if x == -1:
             return sum(c if e % 2 == 0 else -c for e, c in self._c.items())
         raise LaurentError("exact evaluation is only supported at t = 1 and t = -1")
-
-    def reciprocal(self) -> "LaurentPoly":
-        """Substitute t -> 1/t."""
-        return LaurentPoly({-e: c for e, c in self._c.items()})
 
     def is_symmetric(self) -> bool:
         """True if p(t) == p(1/t) coefficient-wise."""

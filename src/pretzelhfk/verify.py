@@ -142,7 +142,7 @@ def check_pairing_gradings(pairs: list[PairingEntry], variant: str) -> CheckResu
 
 def check_matrix_agreement(summary: ChainSummary, reduced: BigradedTable,
                            pairs: list[PairingEntry]) -> CheckResult:
-    """Smith-normal-form route agrees wherever its pair list is complete."""
+    """Pair-matrix route agrees wherever its pair list is complete."""
     name = f"matrix-path-agreement-{summary.variant}"
     result = hfk.homology_via_matrix(summary, pairs)
     complete = [s for s, flag in sorted(result.complete_by_spin.items()) if flag]

@@ -104,6 +104,8 @@ def test_criterion_08_pairing_integrity(grid):
         for variant in ("a", "b"):
             summary = grid.summary(a, b, c, variant)
             pairs = all_pairings(cls, variant)
+            targets = [pair.target for pair in pairs]
+            ok = ok and len(targets) == len(set(targets))
             for pair in pairs:
                 gs = grading(pair.source, cls, variant)
                 gt = grading(pair.target, cls, variant)
@@ -118,7 +120,8 @@ def test_criterion_08_pairing_integrity(grid):
                     if ss == s:
                         ok = ok and (result.table.rank(m, ss)
                                      == reduced.rank(m, ss))
-    _report(8, "pair gradings compatible; matrix route agrees where complete", ok)
+    _report(8, "pair gradings compatible, targets paired once; "
+               "matrix route agrees where complete", ok)
 
 
 def test_criterion_09_parity(grid):

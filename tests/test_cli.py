@@ -1,4 +1,5 @@
 import json
+import sys
 from collections import Counter
 
 import pytest
@@ -80,6 +81,10 @@ def test_usage_errors(capsys, tmp_path):
     assert cli.main(["--sweep", "a=0..1,b=1..1,c=1..1"]) == 1
     assert cli.main(["--sweep", "a=1..1,b=1..1"]) == 1
     assert cli.main(["--nonsense"]) == 1
+    # only optionally signed ASCII decimals; int() alone accepts all of these
+    for bad in ["1_0,3,3", "-2,3,\u0663", "-2,3,\uff13"]:
+        assert cli.main(["--pretzel", bad]) == 1, bad
+    assert cli.main(["--sweep", "a=1..\u0663,b=1..1,c=1..1"]) == 1
     capsys.readouterr()
     target = tmp_path / "missing" / "x.json"
     assert cli.main(["--pretzel", "-2,3,3", "--out", str(target)]) == 1
@@ -91,6 +96,9 @@ def test_usage_errors(capsys, tmp_path):
 STAGES = [(cli.kauffman, "chain_summary"), (cli.hfk, "reduce_two_lines"),
           (cli.hfk, "all_pairings"), (cli.alexander, "fox_alexander"),
           (cli, "wirtinger")]
+# every package module that holds the name, so calls are counted wherever they start
+STAGES += [(module, "enumerate_states") for name, module in sorted(sys.modules.items())
+           if name.split(".")[0] == "pretzelhfk" and hasattr(module, "enumerate_states")]
 
 
 def stage_calls(monkeypatch, capsys, args):
@@ -109,14 +117,14 @@ def stage_calls(monkeypatch, capsys, args):
 def test_each_stage_runs_once_per_variant(monkeypatch, capsys):
     assert stage_calls(monkeypatch, capsys, ["--pretzel", "-4,5,7", "--verify"]) == {
         "chain_summary": 2, "reduce_two_lines": 2, "all_pairings": 2,
-        "fox_alexander": 2, "wirtinger": 1}
+        "fox_alexander": 2, "wirtinger": 1, "enumerate_states": 2}
     assert stage_calls(monkeypatch, capsys, ["--pretzel", "-4,5,7", "--oracle",
                                              "statesum", "--variant", "both"]) == {
         "chain_summary": 2, "reduce_two_lines": 2, "all_pairings": 0,
-        "fox_alexander": 0, "wirtinger": 0}
+        "fox_alexander": 0, "wirtinger": 0, "enumerate_states": 2}
     assert stage_calls(monkeypatch, capsys, ["--pretzel", "-4,5,7"]) == {
         "chain_summary": 1, "reduce_two_lines": 1, "all_pairings": 0,
-        "fox_alexander": 1, "wirtinger": 1}
+        "fox_alexander": 1, "wirtinger": 1, "enumerate_states": 1}
 
 
 def test_verify_single(capsys):

@@ -9,7 +9,7 @@ from pretzelhfk.hfk import (BigradedTable, _pair, all_pairings, homology_via_mat
                             smith_diagonal, symmetry_check,
                             theorem1_closed_form, theorem1_literal_parts,
                             theorem2_closed_form)
-from pretzelhfk.kauffman import KauffmanState, chain_summary, grading
+from pretzelhfk.kauffman import KauffmanState, chain_summary, enumerate_states, grading
 from pretzelhfk.laurent import LaurentError, LaurentPoly
 from pretzelhfk.pretzel import FamilyTag, PretzelClass
 
@@ -238,6 +238,41 @@ def test_matrix_route_flags_incomplete_spot():
     assert result.complete_by_spin[1] is False
     assert result.complete_by_spin[3] is True
     assert result.table.rank(0, 3) == 1
+
+
+def test_matrix_route_rank_matches_smith():
+    # build each 0/1 pair matrix explicitly; its Smith form must be all ones
+    # (no torsion) with the rank that the counting route used
+    for a, b, c in cube(4):
+        cls = thm1(a, b, c)
+        for variant in ("a", "b"):
+            summary = chain_summary(cls, variant)
+            pairs = all_pairings(cls, variant)
+            listed = {(p.source, p.target) for p in pairs}
+            result = homology_via_matrix(summary, pairs)
+            rows, cols = {}, {}
+            for state in enumerate_states(cls):
+                side = rows if state.family == "A" else cols
+                side.setdefault(grading(state, cls, variant).s, []).append(state)
+            for s in summary.spins():
+                r, k = rows.get(s, []), cols.get(s, [])
+                diag = smith_diagonal([[int((x, y) in listed) for y in k] for x in r])
+                assert set(diag) <= {0, 1}
+                rank = sum(diag)
+                assert len(r) - rank == result.table.rank(s - (b + c), s)
+                assert len(k) - rank == result.table.rank(s - (b + c) - 1, s)
+                assert result.complete_by_spin[s] == (rank == min(len(r), len(k)))
+
+
+def test_matrix_route_rejects_reused_target():
+    cls = thm1(2, 2, 2)
+    pairs = all_pairings(cls, "b")
+    first = pairs[0]
+    # another A state with the same bigrading, paired with the same target
+    twin = KauffmanState("A", first.source.idx1 + 1, first.source.idx2 + 1)
+    extra = _pair(cls, "b", "DlrDisk", twin, first.target, l=first.l, r=first.r)
+    with pytest.raises(ArithmeticError):
+        homology_via_matrix(chain_summary(cls, "b"), pairs + [extra])
 
 
 def test_matrix_route_empty_pairs():
