@@ -2,9 +2,11 @@
 
 * ``euler_characteristic``: graded Euler characteristic of a Kauffman state
   summary (the chain-complex route).
-* ``fox_alexander``: Fox calculus on a Wirtinger presentation, with the
-  minor determinant computed by fraction-free (Bareiss) elimination over
-  exact integer Laurent coefficients (the group-theoretic route).
+* ``fox_alexander``: Fox calculus on a Wirtinger presentation (the
+  group-theoretic route).  The minor determinant is computed exactly over
+  integer Laurent coefficients: sparse elimination on unit pivots +-t^k,
+  which are invertible in the ring, then fraction-free (Bareiss)
+  elimination of whatever block has no unit entry left.
 * ``torus_alexander``: the classical closed form for torus knots, used
   only as a spot-check anchor.
 
@@ -55,15 +57,81 @@ def fox_derivative(word: tuple[int, ...], gen: int) -> LaurentPoly:
 
 
 def bareiss_determinant(rows: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Determinant of a square Laurent-polynomial matrix, fraction-free.
+    """Determinant of a square Laurent-polynomial matrix, exact.
 
-    Bareiss elimination keeps every intermediate entry a minor of the
-    input, so each division is exact in the polynomial ring (the Laurent
-    ring embeds in it after a unit shift, which exact_divide handles).
+    Sparse elimination on unit pivots first: rows are held as
+    ``{column: entry}``, and each step takes an entry ``+-t**k`` of lowest
+    Markowitz cost (row count - 1) * (column count - 1).  The pivot's
+    inverse is a monomial, so plain Gaussian steps stay in the Laurent
+    ring; the pivot and the sign of its position enter the determinant,
+    and its row and column leave the matrix.  A Wirtinger minor has at
+    most three nonzero entries per row and nearly every step finds a unit
+    pivot.  Whatever block is left without one goes to dense fraction-free
+    Bareiss elimination.
     """
     k = len(rows)
     if any(len(r) != k for r in rows):
         raise ValueError("determinant requires a square matrix")
+    sparse = [{j: e for j, e in enumerate(r) if not e.is_zero()} for r in rows]
+    # every column is registered, an all-zero one too, so the block stays square
+    in_col: list[set[int]] = [set() for _ in range(k)]
+    for i, row in enumerate(sparse):
+        for j in row:
+            in_col[j].add(i)
+    live_rows, live_cols = list(range(k)), list(range(k))
+    zero, det = LaurentPoly.zero(), LaurentPoly.one()
+    while (found := _unit_pivot(sparse, in_col, live_rows)) is not None:
+        i, j = found
+        pivot_row = sparse[i]
+        pivot = pivot_row.pop(j)
+        inverse = LaurentPoly({-e: c for e, c in pivot.terms()})
+        for col in pivot_row:
+            in_col[col].discard(i)
+        in_col[j].discard(i)
+        for r in in_col[j]:
+            target = sparse[r]
+            factor = target.pop(j) * inverse
+            for col, entry in pivot_row.items():
+                value = target.get(col, zero) - factor * entry
+                if value.is_zero():
+                    del target[col]
+                    in_col[col].discard(r)
+                else:
+                    target[col] = value
+                    in_col[col].add(r)
+        in_col[j].clear()
+        flip = (live_rows.index(i) + live_cols.index(j)) % 2
+        det = det * (-pivot if flip else pivot)
+        live_rows.remove(i)
+        live_cols.remove(j)
+    block = [[sparse[i].get(j, zero) for j in live_cols] for i in live_rows]
+    return det * _bareiss(block)
+
+
+def _unit_pivot(sparse: list[dict[int, LaurentPoly]], in_col: list[set[int]],
+                live_rows: list[int]) -> tuple[int, int] | None:
+    """(row, column) of a unit entry of lowest Markowitz cost, or None."""
+    best = None
+    for i in live_rows:
+        row = sparse[i]
+        for j, entry in row.items():
+            if entry.is_unit():
+                cost = (len(row) - 1) * (len(in_col[j]) - 1)
+                if cost == 0:
+                    return i, j
+                if best is None or cost < best[0]:
+                    best = (cost, i, j)
+    return None if best is None else best[1:]
+
+
+def _bareiss(rows: list[list[LaurentPoly]]) -> LaurentPoly:
+    """Determinant of a square matrix by fraction-free Bareiss elimination.
+
+    Every intermediate entry is a minor of the input, so each division is
+    exact in the polynomial ring (the Laurent ring embeds in it after a
+    unit shift, which exact_divide handles).
+    """
+    k = len(rows)
     if k == 0:
         return LaurentPoly.one()
     m = [list(r) for r in rows]

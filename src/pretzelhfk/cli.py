@@ -37,6 +37,10 @@ EXIT_USAGE = 1
 EXIT_OUT_OF_SCOPE = 2
 EXIT_CHECK_FAILED = 3
 
+# Largest crossing count (sum of |p_i|) a knot may have.  It is checked
+# before any work: the Wirtinger build and the Fox minor grow with it.
+MAX_CROSSINGS = 1000
+
 
 class UsageError(Exception):
     pass
@@ -174,6 +178,15 @@ def run_sweep(ranges: dict[str, tuple[int, int]], family: str, variant: str,
 # argument handling
 
 
+def _decimal(text: str) -> int:
+    """An ASCII decimal as int, or a usage error if it is too long to convert."""
+    try:
+        return int(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise UsageError(f"a number with {len(text)} digits has too many crossings; "
+                         f"the limit is {MAX_CROSSINGS}") from None
+
+
 def _parse_triple(text: str) -> tuple[int, int, int]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 3:
@@ -181,7 +194,11 @@ def _parse_triple(text: str) -> tuple[int, int, int]:
     # ASCII decimals only: int() alone would also take "1_0" and non-ASCII digits
     if not all(re.fullmatch(r"[+-]?[0-9]+", p) for p in parts):
         raise UsageError(f"--pretzel expects integers, got {text!r}")
-    p1, p2, p3 = map(int, parts)
+    p1, p2, p3 = map(_decimal, parts)
+    crossings = abs(p1) + abs(p2) + abs(p3)
+    if crossings > MAX_CROSSINGS:
+        raise UsageError(f"knot {text!r} has {crossings} crossings; "
+                         f"the limit is {MAX_CROSSINGS}")
     return (p1, p2, p3)
 
 
@@ -191,7 +208,7 @@ def _parse_sweep(text: str) -> dict[str, tuple[int, int]]:
         m = re.fullmatch(r"([abc])=([0-9]+)\.\.([0-9]+)", piece.strip())
         if not m:
             raise UsageError(f"bad sweep component {piece!r}; expected e.g. a=1..3")
-        key, lo, hi = m.group(1), int(m.group(2)), int(m.group(3))
+        key, lo, hi = m.group(1), _decimal(m.group(2)), _decimal(m.group(3))
         if key in ranges:
             raise UsageError(f"duplicate sweep range for {key!r}")
         if lo < 1:
@@ -202,6 +219,11 @@ def _parse_sweep(text: str) -> dict[str, tuple[int, int]]:
     missing = [k for k in ("a", "b", "c") if k not in ranges]
     if missing:
         raise UsageError(f"sweep is missing ranges for: {', '.join(missing)}")
+    # both families put 2a + 2b + 2c + 2 crossings on the knot (a, b, c)
+    crossings = 2 * sum(hi for _, hi in ranges.values()) + 2
+    if crossings > MAX_CROSSINGS:
+        raise UsageError(f"sweep reaches knots with {crossings} crossings; "
+                         f"the limit is {MAX_CROSSINGS}")
     return ranges
 
 

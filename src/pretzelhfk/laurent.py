@@ -49,6 +49,10 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._c
 
+    def is_unit(self) -> bool:
+        """True for the units of the ring, the monomials +-t**k."""
+        return len(self._c) == 1 and abs(next(iter(self._c.values()))) == 1
+
     def min_exp(self) -> int:
         if not self._c:
             raise LaurentError("zero polynomial has no exponent span")

@@ -1,10 +1,14 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pretzelhfk.alexander import (bareiss_determinant, euler_characteristic,
-                                  fox_alexander, fox_derivative,
-                                  torus_alexander)
+from pretzelhfk import alexander
+from pretzelhfk.alexander import (_bareiss, bareiss_determinant,
+                                  euler_characteristic, fox_alexander,
+                                  fox_derivative, torus_alexander)
 from pretzelhfk.kauffman import chain_summary
 from pretzelhfk.laurent import LaurentError, LaurentPoly
 from pretzelhfk.pretzel import (FamilyTag, PretzelClass, WirtingerPresentation,
@@ -28,7 +32,7 @@ def odd_pretzel_alexander(p, q, r):
 
 
 def naive_determinant(rows):
-    """Cofactor expansion, used as an oracle for the Bareiss route."""
+    """Cofactor expansion, used as an oracle for the determinant."""
     n = len(rows)
     if n == 0:
         return LaurentPoly.one()
@@ -146,8 +150,41 @@ def test_alexander_matrix_shape():
         assert total.is_zero()
 
 
+def test_fox_column_independence_large():
+    # a = b = c = 16: 98 generators, two independent eliminations
+    pres = wirtinger((32, -33, 33))
+    assert fox_alexander(pres, 0) == fox_alexander(pres, pres.generator_count - 1)
+
+
+def test_fox_matches_state_sum_large():
+    cls = PretzelClass(FamilyTag.THM1, 16, 16, 16)
+    assert fox_alexander(wirtinger((-32, 33, 33))) == \
+        euler_characteristic(chain_summary(cls, "b"))
+
+
+def test_sparse_elimination_matches_bareiss_on_fox_minors(monkeypatch):
+    """Every Fox minor with 0 < |p_i| <= 4, first and last column deleted."""
+    compared = []
+
+    def both(rows):
+        det = bareiss_determinant(rows)
+        assert det == _bareiss(rows)
+        compared.append(len(rows))
+        return det
+
+    monkeypatch.setattr(alexander, "bareiss_determinant", both)
+    values = [v for v in range(-4, 5) if v]
+    for triple in itertools.product(values, repeat=3):
+        if sum(v % 2 == 0 for v in triple) > 1:
+            continue  # a link: wirtinger rejects it
+        pres = wirtinger(triple)
+        for drop in (0, pres.generator_count - 1):
+            fox_alexander(pres, drop)
+    assert len(compared) == 2 * 256
+
+
 # ---------------------------------------------------------------------------
-# Bareiss determinant
+# determinant
 
 
 def _random_poly(rng):
@@ -170,6 +207,40 @@ def test_bareiss_singular_and_empty():
     assert bareiss_determinant(zero_col).is_zero()
     with pytest.raises(ValueError):
         bareiss_determinant([[one, one]])
+
+
+ZERO = LaurentPoly.zero()
+units = st.builds(lambda e, c: LaurentPoly({e: c}),
+                  st.integers(-3, 3), st.sampled_from([1, -1]))
+short_polys = st.dictionaries(st.integers(-2, 2), st.integers(-3, 3),
+                              min_size=1, max_size=3).map(LaurentPoly)
+entries = st.one_of(st.just(ZERO), units, units, short_polys)
+
+
+@st.composite
+def square_matrices(draw):
+    """Up to 5x5, some with a zero row, a zero column or a dependent row."""
+    n = draw(st.integers(0, 5))
+    rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    if n:
+        shape = draw(st.sampled_from(["any", "any", "any", "zero row", "zero column",
+                                      "dependent row"]))
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if shape == "zero row":
+            rows[i] = [ZERO] * n
+        elif shape == "zero column":
+            for row in rows:
+                row[j] = ZERO
+        elif shape == "dependent row" and i != j:
+            factor = draw(entries)
+            rows[j] = [factor * e for e in rows[i]]
+    return rows
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(square_matrices())
+def test_determinant_matches_cofactor_expansion(rows):
+    assert bareiss_determinant(rows) == naive_determinant(rows)
 
 
 # ---------------------------------------------------------------------------

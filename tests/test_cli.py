@@ -86,6 +86,21 @@ def test_usage_errors(capsys, tmp_path):
         assert cli.main(["--pretzel", bad]) == 1, bad
     assert cli.main(["--sweep", "a=1..\u0663,b=1..1,c=1..1"]) == 1
     capsys.readouterr()
+    # the crossing budget is enforced before any computation
+    assert cli.MAX_CROSSINGS == 1000
+    for args in (["--pretzel", "99999999999999999999999,3,3"],
+                 ["--sweep", "a=1..99999999999999999999,b=1..1,c=1..1", "--format", "csv"],
+                 ["--pretzel", "-2,3,996"],
+                 ["--sweep", "a=1..1,b=1..1,c=1..498"],
+                 # more digits than int() converts by default
+                 ["--pretzel", "1" + "0" * 5000 + ",3,3"],
+                 ["--sweep", "a=1..1" + "0" * 5000 + ",b=1..1,c=1..1"]):
+        assert cli.main(args) == 1, args
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "the limit is 1000" in captured.err
+    assert cli._parse_triple("-2,3,995") == (-2, 3, 995)
+    assert cli._parse_sweep("a=1..1,b=1..1,c=1..497")["c"] == (1, 497)
     target = tmp_path / "missing" / "x.json"
     assert cli.main(["--pretzel", "-2,3,3", "--out", str(target)]) == 1
     captured = capsys.readouterr()

@@ -21,6 +21,13 @@ def test_construction_drops_zeros():
     assert LaurentPoly({}) == LaurentPoly.zero()
 
 
+def test_is_unit():
+    assert P({3: 1}).is_unit() and P({-2: -1}).is_unit() and LaurentPoly.one().is_unit()
+    assert not LaurentPoly.zero().is_unit()
+    assert not P({0: 2}).is_unit()
+    assert not P({1: 1, 0: -1}).is_unit()
+
+
 def test_terms_sorted_ascending():
     assert TREFOIL.terms() == [(-1, 1), (0, -1), (1, 1)]
 
