@@ -25,10 +25,7 @@ from .pretzel import WirtingerPresentation
 
 def euler_characteristic(summary: ChainSummary) -> LaurentPoly:
     """sum((-1)^m * count(m, s) * t^s), normalized to symmetric form with value 1 at t=1."""
-    acc: dict[int, int] = {}
-    for (m, s), n in summary.counts.items():
-        acc[s] = acc.get(s, 0) + (n if m % 2 == 0 else -n)
-    raw = LaurentPoly(acc)
+    raw = LaurentPoly(summary.euler_by_spin())
     try:
         return raw.normalize_symmetric()
     except LaurentError as exc:

@@ -11,6 +11,9 @@ marked points sit in two distinguished regions, giving three families:
 Two choices of the special marked point on the knot ("variant" a or b)
 give the same state set but different grading tables.  Variant (b) has a
 uniform table; variant (a) treats the i = 0 rows of B and C specially.
+Both tables live in one private kernel, ``_bigrading``, which ``grading``
+(one state) and ``chain_summary`` (every state) share; the callers
+validate the class and the variant, the kernel checks the index ranges.
 
 The delta grading s - m - (b + c) is 0 on every A state and 1 on every B
 and C state, so all boundary maps run from A states to B and C states.
@@ -18,15 +21,16 @@ and C state, so all boundary maps run from A states to B and C states.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .pretzel import FamilyTag, PretzelClass
 
 VARIANTS = ("a", "b")
 
 
-@dataclass(frozen=True, order=True)
-class KauffmanState:
+class KauffmanState(NamedTuple):
     family: str
     idx1: int
     idx2: int
@@ -62,31 +66,41 @@ def enumerate_states(cls: PretzelClass) -> list[KauffmanState]:
     return states
 
 
+def _bigrading(family: str, x: int, y: int, a: int, b: int, c: int,
+               variant: str) -> tuple[int, int]:
+    """(m, s) of state (family, x, y) of K(-2a, 2b+1, 2c+1) in the variant's table.
+
+    The caller has validated the class and the variant; an index out of
+    range or an unknown family raises ValueError.
+    """
+    if family == "A":
+        j, k = x, y
+        if not (0 <= j <= 2 * b and 0 <= k <= 2 * c):
+            raise ValueError(f"A state index out of range: {KauffmanState(family, x, y)}")
+        return j - k - 2 * b, (j - k) + (c - b)
+    if family == "B":
+        i, k = x, y
+        if not (0 <= i <= 2 * a - 1 and 0 <= k <= 2 * c):
+            raise ValueError(f"B state index out of range: {KauffmanState(family, x, y)}")
+        if variant == "a" and i == 0:
+            return -k - 2 * b - 1, -k + (c - b)
+        return -(i % 2) - k, b + c + 1 - i % 2 - k
+    if family == "C":
+        i, j = x, y
+        if not (0 <= i <= 2 * a - 1 and 0 <= j <= 2 * b):
+            raise ValueError(f"C state index out of range: {KauffmanState(family, x, y)}")
+        if variant == "a" and i == 0:
+            return j - 2 * b, j - b + c + 1
+        return j - i % 2 - 2 * b - 2 * c - 1, j - i % 2 - b - c
+    raise ValueError(f"unknown family {family!r}")
+
+
 def grading(state: KauffmanState, cls: PretzelClass, variant: str) -> Bigrading:
     """Maslov and spin grading of one state, per the variant's table."""
     a, b, c = _require_thm1(cls)
     _check_variant(variant)
-    fam, x, y = state.family, state.idx1, state.idx2
-    if fam == "A":
-        j, k = x, y
-        if not (0 <= j <= 2 * b and 0 <= k <= 2 * c):
-            raise ValueError(f"A state index out of range: {state}")
-        return Bigrading(m=j - k - 2 * b, s=(j - k) + (c - b))
-    if fam == "B":
-        i, k = x, y
-        if not (0 <= i <= 2 * a - 1 and 0 <= k <= 2 * c):
-            raise ValueError(f"B state index out of range: {state}")
-        if variant == "a" and i == 0:
-            return Bigrading(m=-k - 2 * b - 1, s=-k + (c - b))
-        return Bigrading(m=-(i % 2) - k, s=b + c + 1 - i % 2 - k)
-    if fam == "C":
-        i, j = x, y
-        if not (0 <= i <= 2 * a - 1 and 0 <= j <= 2 * b):
-            raise ValueError(f"C state index out of range: {state}")
-        if variant == "a" and i == 0:
-            return Bigrading(m=j - 2 * b, s=j - b + c + 1)
-        return Bigrading(m=j - i % 2 - 2 * b - 2 * c - 1, s=j - i % 2 - b - c)
-    raise ValueError(f"unknown family {fam!r}")
+    m, s = _bigrading(state.family, state.idx1, state.idx2, a, b, c, variant)
+    return Bigrading(m=m, s=s)
 
 
 @dataclass(frozen=True)
@@ -128,12 +142,10 @@ class ChainSummary:
 def chain_summary(cls: PretzelClass, variant: str = "b") -> ChainSummary:
     """Bucket every Kauffman state of the diagram by its bigrading."""
     a, b, c = _require_thm1(cls)
-    counts: dict[tuple[int, int], int] = {}
-    per_family: dict[tuple[str, int], int] = {}
-    for state in enumerate_states(cls):
-        g = grading(state, cls, variant)
-        counts[(g.m, g.s)] = counts.get((g.m, g.s), 0) + 1
-        key = (state.family, g.s)
-        per_family[key] = per_family.get(key, 0) + 1
+    _check_variant(variant)
+    graded = [(family, _bigrading(family, x, y, a, b, c, variant))
+              for family, x, y in enumerate_states(cls)]
+    counts = Counter([ms for _, ms in graded])
+    per_family = Counter([(family, ms[1]) for family, ms in graded])
     return ChainSummary(params=(a, b, c), variant=variant,
-                        counts=counts, per_family=per_family)
+                        counts=dict(counts), per_family=dict(per_family))

@@ -9,7 +9,7 @@ from pretzelhfk import alexander
 from pretzelhfk.alexander import (_bareiss, bareiss_determinant,
                                   euler_characteristic, fox_alexander,
                                   fox_derivative, torus_alexander)
-from pretzelhfk.kauffman import chain_summary
+from pretzelhfk.kauffman import ChainSummary, chain_summary
 from pretzelhfk.laurent import LaurentError, LaurentPoly
 from pretzelhfk.pretzel import (FamilyTag, PretzelClass, WirtingerPresentation,
                                 wirtinger)
@@ -117,6 +117,18 @@ def test_fox_column_independence():
         polys = {fox_alexander(pres, drop_generator=j)
                  for j in range(pres.generator_count)}
         assert len(polys) == 1
+
+
+knot_triples = st.tuples(*[st.sampled_from([p for p in range(-9, 10) if p])] * 3).filter(
+    lambda t: sum(p % 2 == 0 for p in t) <= 1)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(knot_triples)
+def test_fox_invariant_under_band_permutation(triple):
+    reference = fox_alexander(wirtinger(triple))
+    for perm in itertools.permutations(triple):
+        assert fox_alexander(wirtinger(perm)) == reference, perm
 
 
 def test_fox_determinant_is_odd():
@@ -258,6 +270,15 @@ def test_euler_characteristic_normalized():
         alex = euler_characteristic(summary)
         assert alex.is_symmetric()
         assert alex.evaluate_at(1) == 1
+
+
+def test_euler_characteristic_rejects_unnormalizable():
+    off_center = ChainSummary((1, 1, 1), "b", {(0, 0): 1, (0, 1): 1}, {})
+    with pytest.raises(LaurentError, match="state-sum Euler characteristic not normalizable"):
+        euler_characteristic(off_center)
+    cancelling = ChainSummary((1, 1, 1), "b", {(0, 0): 1, (1, 0): 1}, {})
+    with pytest.raises(LaurentError, match="zero polynomial"):
+        euler_characteristic(cancelling)
 
 
 def test_oracle_agreement_spot():

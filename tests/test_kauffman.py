@@ -2,6 +2,8 @@ import itertools
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pretzelhfk.kauffman import (Bigrading, KauffmanState, chain_summary,
                                  enumerate_states, grading)
@@ -136,3 +138,32 @@ def test_euler_counts_variant_independent():
         cls = thm1(a, b, c)
         assert chain_summary(cls, "a").euler_by_spin() == \
                chain_summary(cls, "b").euler_by_spin()
+
+
+def test_chain_summary_matches_per_state_grading():
+    # equality gate: the summary's buckets against the public per-state table
+    for a, b, c in itertools.product(range(1, 7), repeat=3):
+        cls = thm1(a, b, c)
+        states = enumerate_states(cls)
+        for variant in ("a", "b"):
+            graded = [(state, grading(state, cls, variant)) for state in states]
+            summary = chain_summary(cls, variant)
+            assert summary.counts == Counter((g.m, g.s) for _, g in graded)
+            assert summary.per_family == Counter((state.family, g.s)
+                                                  for state, g in graded)
+            assert summary.params == (a, b, c) and summary.variant == variant
+            assert type(summary.counts) is dict and type(summary.per_family) is dict
+
+
+states_st = st.builds(KauffmanState, st.sampled_from("ABC"),
+                      st.integers(-2, 4), st.integers(-2, 4))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(states_st, states_st)
+def test_state_order_hash_and_equality_follow_the_field_tuple(s, t):
+    ts, tt = (s.family, s.idx1, s.idx2), (t.family, t.idx1, t.idx2)
+    assert (s < t) == (ts < tt) and (s <= t) == (ts <= tt)
+    assert (s == t) == (ts == tt) and (s != t) == (ts != tt)
+    assert hash(s) == hash(ts)
+    assert repr(s) == f"KauffmanState(family={s.family!r}, idx1={s.idx1}, idx2={s.idx2})"

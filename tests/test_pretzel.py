@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pretzelhfk.hfk import smith_diagonal
 from pretzelhfk.pretzel import (FamilyTag, PretzelClass, PretzelParams,
@@ -61,6 +63,36 @@ def test_classify_mirror_toggles_flag():
             flipped = classify(*(-p for p in triple))
             assert flipped.abc() == direct.abc()
             assert flipped.mirrored != direct.mirrored
+
+
+bands = st.sampled_from([p for p in range(-9, 10) if p])
+triples = st.tuples(bands, bands, bands)
+
+MIRROR_TAG = {FamilyTag.THM1: FamilyTag.MIRROR_THM1, FamilyTag.MIRROR_THM1: FamilyTag.THM1,
+              FamilyTag.THM2: FamilyTag.MIRROR_THM2, FamilyTag.MIRROR_THM2: FamilyTag.THM2,
+              FamilyTag.PRIOR_WORK: FamilyTag.PRIOR_WORK,
+              FamilyTag.NOT_A_KNOT: FamilyTag.NOT_A_KNOT}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(triples)
+def test_classify_invariant_under_band_permutation(triple):
+    reference = classify(*triple)
+    for perm in itertools.permutations(triple):
+        assert classify(*perm) == reference
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(triples)
+def test_classify_of_negated_triple_is_the_mirror(triple):
+    direct = classify(*triple)
+    flipped = classify(*(-p for p in triple))
+    assert flipped.tag is MIRROR_TAG[direct.tag]
+    if direct.is_theorem_family:
+        assert flipped.abc() == direct.abc()
+        assert flipped.mirrored != direct.mirrored
+    else:
+        assert flipped == direct  # same tag and reason, no parameters
 
 
 def test_canonical_triple():
